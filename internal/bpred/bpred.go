@@ -72,6 +72,27 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
+// Reset returns the predictor to the state New builds, reusing its tables.
+func (p *Predictor) Reset() {
+	for i := range p.bimodal {
+		p.bimodal[i] = 1
+		p.gshare[i] = 1
+		p.chooser[i] = 1
+	}
+	for i := range p.btbTags {
+		clear(p.btbTags[i])
+		clear(p.btbTarget[i])
+		clear(p.btbLRU[i])
+	}
+	p.history, p.btbClock = 0, 0
+	clear(p.ras)
+	p.rasTop = 0
+	p.ResetStats()
+}
+
+// Config returns the predictor's geometry.
+func (p *Predictor) Config() Config { return p.cfg }
+
 // Outcome reports how fetch fared on one control instruction.
 type Outcome struct {
 	DirMispredict    bool // direction wrong: full resolve-at-execute penalty

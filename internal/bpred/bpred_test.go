@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"reflect"
 	"testing"
 
 	"svwsim/internal/isa"
@@ -125,5 +126,25 @@ func TestBTBConflictEviction(t *testing.T) {
 	out := p.Lookup(0x1000, br, true, br.BranchTarget(0x1000))
 	if !out.BTBMiss {
 		t.Error("evicted entry should miss")
+	}
+}
+
+// TestResetMatchesNew: a trained predictor, Reset, is deep-equal to a new
+// one -- counters, history, BTB, RAS and statistics.
+func TestResetMatchesNew(t *testing.T) {
+	p := newP()
+	br := isa.Inst{Op: isa.OpBne, Ra: 1, Imm: 4}
+	call := isa.Inst{Op: isa.OpBsr, Ra: 26, Imm: 64}
+	for i := uint64(0); i < 3000; i++ {
+		pc := 0x1000 + 4*(i%97)
+		p.Lookup(pc, br, i%3 == 0, br.BranchTarget(pc))
+		p.Lookup(pc+0x800, call, true, call.BranchTarget(pc+0x800))
+	}
+	if p.Branches == 0 || p.rasTop == 0 {
+		t.Fatal("training left the predictor cold; the test is vacuous")
+	}
+	p.Reset()
+	if !reflect.DeepEqual(p, newP()) {
+		t.Fatal("Reset predictor differs from a new one")
 	}
 }

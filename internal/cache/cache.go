@@ -8,6 +8,8 @@
 // from the functional memory images.
 package cache
 
+import "math/bits"
+
 // Config describes one cache level.
 type Config struct {
 	Name      string
@@ -54,6 +56,7 @@ type Cache struct {
 	cfg       Config
 	sets      int
 	lineShift uint
+	setShift  uint // log2(sets)
 
 	tags  [][]uint64
 	valid [][]bool
@@ -88,6 +91,7 @@ func New(cfg Config, lower *Cache, bus *Bus, memLat int) *Cache {
 		cfg:       cfg,
 		sets:      sets,
 		lineShift: shift,
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
 		lower:     lower,
 		bus:       bus,
 		memLat:    memLat,
@@ -120,7 +124,7 @@ func (c *Cache) set(addr uint64) int {
 }
 
 func (c *Cache) tag(addr uint64) uint64 {
-	return addr >> c.lineShift / uint64(c.sets)
+	return addr >> c.lineShift >> c.setShift
 }
 
 // lookup probes for addr and refreshes LRU on hit.
@@ -232,6 +236,21 @@ func (c *Cache) reapMSHR(now uint64) {
 	}
 }
 
+// reset returns the level to its state after New, bus included.
+func (c *Cache) reset() {
+	for s := range c.tags {
+		clear(c.tags[s])
+		clear(c.valid[s])
+		clear(c.stamp[s])
+	}
+	c.clock = 0
+	clear(c.mshr)
+	if c.bus != nil {
+		c.bus.freeAt = 0
+	}
+	c.Accesses, c.Misses, c.Prefetches = 0, 0, 0
+}
+
 // ResetStats zeroes the access counters without touching tag state, so a
 // sampled-simulation window can measure its own miss rates over carried-over
 // (warm) cache contents.
@@ -263,6 +282,19 @@ type Hierarchy struct {
 	ICache *Cache
 	DCache *Cache
 	L2     *Cache
+	cfg    HierarchyConfig
+}
+
+// Config returns the configuration the hierarchy was built from.
+func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
+
+// Reset returns the hierarchy to the cold state NewHierarchy builds: no
+// valid line, no fill in flight, idle buses, zero counters. It reuses every
+// table, so a simulator reset allocates nothing for its caches.
+func (h *Hierarchy) Reset() {
+	h.ICache.reset()
+	h.DCache.reset()
+	h.L2.reset()
 }
 
 // ResetStats zeroes every level's access counters (tag state untouched).
@@ -307,5 +339,6 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		ICache: New(cfg.ICache, l2, l2bus, 0),
 		DCache: New(cfg.DCache, l2, l2bus, 0),
 		L2:     l2,
+		cfg:    cfg,
 	}
 }

@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func smallCache(lat int, lower *Cache, memLat int) *Cache {
 	return New(Config{Name: "t", SizeBytes: 1024, Ways: 2, LineBytes: 64, Latency: lat},
@@ -152,5 +155,23 @@ func TestMissRate(t *testing.T) {
 	c.Access(0x100, 100)
 	if r := c.MissRate(); r < 0.3 || r > 0.35 {
 		t.Errorf("miss rate = %f, want 1/3", r)
+	}
+}
+
+// TestHierarchyResetMatchesNew: a used hierarchy, Reset, is deep-equal to a
+// freshly built one -- tags, LRU clocks, in-flight fills, buses, counters.
+func TestHierarchyResetMatchesNew(t *testing.T) {
+	cfg := DefaultHierarchyConfig()
+	h := NewHierarchy(cfg)
+	for i := uint64(0); i < 5000; i++ {
+		h.DCache.Access(i*4160, i)
+		h.ICache.Access(i*64, i)
+	}
+	if h.L2.Accesses == 0 || len(h.L2.mshr) == 0 {
+		t.Fatal("warm-up left the hierarchy cold; the test is vacuous")
+	}
+	h.Reset()
+	if fresh := NewHierarchy(cfg); !reflect.DeepEqual(h, fresh) {
+		t.Fatal("Reset hierarchy differs from a new one")
 	}
 }

@@ -92,19 +92,24 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestHedgedRequestWinsOverStraggler: a backend that answers slowly gets
-// hedged onto the fast fallback, the client sees the fast answer, and the
-// hedge is accounted (without double-counting the job).
-func TestHedgedRequestWinsOverStraggler(t *testing.T) {
-	const stall = 400 * time.Millisecond
-	f := newFabric(t, 2, Options{HedgeAfter: 20 * time.Millisecond}, func(i int, h http.Handler) http.Handler {
+// stragglerFabric builds a two-backend fabric whose backend 0 holds every
+// /v1/run until release is called or the attempt is cancelled, and picks a
+// config whose run is homed on backend 0: a run of it can only be answered
+// by a hedge to backend 1 while the hold lasts. The hold is released at
+// cleanup at the latest.
+func stragglerFabric(t *testing.T) (f *fabric, config string, release func()) {
+	t.Helper()
+	hold := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(hold) }) }
+	f = newFabric(t, 2, Options{HedgeAfter: 20 * time.Millisecond}, func(i int, h http.Handler) http.Handler {
 		if i != 0 {
 			return h
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/run" {
 				select {
-				case <-time.After(stall):
+				case <-hold:
 				case <-r.Context().Done():
 					return
 				}
@@ -112,34 +117,91 @@ func TestHedgedRequestWinsOverStraggler(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
+	t.Cleanup(release) // runs before the fabric's own cleanups
 
-	// Find a job homed on the slow backend so the hedge has a straggler to
-	// beat; the key population is the registry, so one exists.
-	var slowKey string
+	// The key population is the registry, so some probe config is homed on
+	// the held backend.
 	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
 		key := jobKey(t, cname, "gcc")
 		if rankURLs([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
-			slowKey = cname
-			break
+			return f, cname, release
 		}
 	}
-	if slowKey == "" {
-		t.Skip("no probe config homed on the slow backend")
-	}
+	t.Skip("no probe config homed on the held backend")
+	return nil, "", nil
+}
 
-	body, _ := json.Marshal(api.RunRequest{Config: slowKey, Bench: "gcc", Insts: testInsts})
-	start := time.Now()
-	w := f.do("POST", "/v1/run", string(body), nil)
-	elapsed := time.Since(start)
+// runWhileHeld posts a run of config and waits for the answer, which has to
+// come from a hedge: the primary backend is held until the answer arrives.
+func runWhileHeld(t *testing.T, f *fabric, config, traceID string, release func()) *httptest.ResponseRecorder {
+	t.Helper()
+	body, _ := json.Marshal(api.RunRequest{Config: config, Bench: "gcc", Insts: testInsts})
+	hdr := map[string]string{api.TraceHeader: traceID}
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- f.do("POST", "/v1/run", string(body), hdr) }()
+	select {
+	case w := <-done:
+		release()
+		return w
+	case <-time.After(30 * time.Second):
+		release()
+		t.Fatal("no answer while the primary backend was held: the hedge never fired")
+		return nil
+	}
+}
+
+// awaitPrimaryAbandoned polls the coordinator's trace ring until the primary
+// attempt of traceID is marked abandoned: the losing attempt observes its
+// cancellation asynchronously, possibly after the response.
+func awaitPrimaryAbandoned(t *testing.T, f *fabric, traceID string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ct := coordTrace(t, f, traceID)
+		for _, sp := range ct.Spans {
+			if sp.Name == "attempt" && sp.Attrs["walk"] == "primary" &&
+				sp.Attrs["outcome"] == "abandoned" {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("primary attempt never marked abandoned; trace %+v", ct)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// dispatchSpan returns the coordinator's dispatch span of traceID.
+func dispatchSpan(t *testing.T, f *fabric, traceID string) api.SpanJSON {
+	t.Helper()
+	ct := coordTrace(t, f, traceID)
+	for _, sp := range ct.Spans {
+		if sp.Name == "dispatch" {
+			return sp
+		}
+	}
+	t.Fatalf("no dispatch span: %+v", ct)
+	return api.SpanJSON{}
+}
+
+// TestHedgedRequestWinsOverStraggler: a backend that does not answer gets
+// hedged onto the fast fallback, the client sees the fast answer, and the
+// hedge is accounted (without double-counting the job). The straggler is
+// held until the answer arrives, so the hedge wins by construction rather
+// than by beating a timer.
+func TestHedgedRequestWinsOverStraggler(t *testing.T) {
+	f, config, release := stragglerFabric(t)
+	w := runWhileHeld(t, f, config, "hedge-wins-1", release)
 	if w.Code != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", w.Code, w.Body)
 	}
-	if !bytes.Equal(w.Body.Bytes(), refRunBody(t, slowKey, "gcc")) {
+	if !bytes.Equal(w.Body.Bytes(), refRunBody(t, config, "gcc")) {
 		t.Fatal("hedged response differs from reference")
 	}
-	if elapsed >= stall {
-		t.Fatalf("response took %v, the hedge never beat the %v straggler", elapsed, stall)
+	if d := dispatchSpan(t, f, "hedge-wins-1"); d.Attrs["winner"] != "hedge" {
+		t.Fatalf("dispatch attrs %v, want winner=hedge", d.Attrs)
 	}
+	awaitPrimaryAbandoned(t, f, "hedge-wins-1")
 	st := f.stats(t)
 	if st.Cluster.Hedges == 0 || st.Cluster.HedgeWins == 0 {
 		t.Fatalf("hedges %d wins %d, want both > 0", st.Cluster.Hedges, st.Cluster.HedgeWins)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"svwsim/internal/api"
 )
@@ -197,55 +196,15 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 // the dispatch span synchronously records winner=hedge/abandoned=primary,
 // and the abandoned primary's attempt span eventually observes its
 // cancellation and is marked outcome=abandoned (it may land after the
-// request finishes — the ring keeps the live trace, so polling sees it).
+// request finishes -- the ring keeps the live trace, so polling sees it).
 func TestHedgeTraceMarksAbandonedAttempt(t *testing.T) {
-	const stall = 400 * time.Millisecond
-	f := newFabric(t, 2, Options{HedgeAfter: 20 * time.Millisecond}, func(i int, h http.Handler) http.Handler {
-		if i != 0 {
-			return h
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/run" {
-				select {
-				case <-time.After(stall):
-				case <-r.Context().Done():
-					return
-				}
-			}
-			h.ServeHTTP(w, r)
-		})
-	})
-
-	var cfg string
-	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
-		key := jobKey(t, cname, "gcc")
-		if rankURLs([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
-			cfg = cname
-			break
-		}
-	}
-	if cfg == "" {
-		t.Skip("no probe config homed on the slow backend")
-	}
-
-	body, _ := json.Marshal(api.RunRequest{Config: cfg, Bench: "gcc", Insts: testInsts})
-	hdr := map[string]string{api.TraceHeader: "hedge-run-1"}
-	if w := f.do("POST", "/v1/run", string(body), hdr); w.Code != http.StatusOK {
+	f, cfg, release := stragglerFabric(t)
+	if w := runWhileHeld(t, f, cfg, "hedge-run-1", release); w.Code != http.StatusOK {
 		t.Fatalf("run: HTTP %d: %s", w.Code, w.Body.String())
 	}
 
 	// Synchronous markers, written before dispatch returned.
-	ct := coordTrace(t, f, "hedge-run-1")
-	var dispatch api.SpanJSON
-	var haveDispatch bool
-	for _, sp := range ct.Spans {
-		if sp.Name == "dispatch" {
-			dispatch, haveDispatch = sp, true
-		}
-	}
-	if !haveDispatch {
-		t.Fatalf("no dispatch span: %+v", ct)
-	}
+	dispatch := dispatchSpan(t, f, "hedge-run-1")
 	if dispatch.Attrs["hedged"] != "true" || dispatch.Attrs["winner"] != "hedge" ||
 		dispatch.Attrs["abandoned"] != "primary" {
 		t.Fatalf("dispatch attrs: %v", dispatch.Attrs)
@@ -259,27 +218,7 @@ func TestHedgeTraceMarksAbandonedAttempt(t *testing.T) {
 	if _, ok := backendTrace(t, f.backends[1], "hedge-run-1"); !ok {
 		t.Fatal("hedge-winning backend did not record the trace ID")
 	}
-
-	// The losing primary attempt observes its cancellation asynchronously:
-	// poll the coordinator's ring until the abandoned marking lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ct := coordTrace(t, f, "hedge-run-1")
-		abandoned := false
-		for _, sp := range ct.Spans {
-			if sp.Name == "attempt" && sp.Attrs["walk"] == "primary" &&
-				sp.Attrs["outcome"] == "abandoned" {
-				abandoned = true
-			}
-		}
-		if abandoned {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("primary attempt never marked abandoned; trace %+v", ct)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitPrimaryAbandoned(t, f, "hedge-run-1")
 }
 
 // TestClusterSlowLogAndCounter: with slow logging at threshold 0 every

@@ -47,17 +47,24 @@ func (q *LoadQueue) Len() int   { return q.n }
 func (q *LoadQueue) Cap() int   { return q.cap }
 func (q *LoadQueue) Full() bool { return q.n >= q.cap }
 
-// Push allocates at the tail (dispatch order).
-func (q *LoadQueue) Push(rec LoadRec) {
+// Push allocates at the tail (dispatch order) and returns the entry's ring
+// index, which stays its index until it is popped or squashed (see At).
+func (q *LoadQueue) Push(rec LoadRec) int {
 	if q.Full() {
 		panic("lsq: load queue overflow")
 	}
 	if q.n > 0 && q.at(q.n-1).Seq >= rec.Seq {
 		panic("lsq: load queue push out of order")
 	}
+	idx := (q.head + q.n) & q.mask
 	q.n++
-	*q.at(q.n - 1) = rec
+	q.buf[idx] = rec
+	return idx
 }
+
+// At returns the entry at a ring index Push returned; valid while that
+// entry is in the queue.
+func (q *LoadQueue) At(idx int) *LoadRec { return &q.buf[idx] }
 
 // Find returns the entry with the given seq, or nil.
 func (q *LoadQueue) Find(seq uint64) *LoadRec {

@@ -167,12 +167,26 @@ func (q *StoreQueue) Push(rec StoreRec) {
 
 // Find returns the entry with the given seq, or nil.
 func (q *StoreQueue) Find(seq uint64) *StoreRec {
-	for i := 0; i < q.n; i++ {
-		if e := q.at(i); e.Seq == seq {
-			return e
-		}
+	if i := q.lowerBound(seq); i < q.n && q.at(i).Seq == seq {
+		return q.at(i)
 	}
 	return nil
+}
+
+// lowerBound returns the position of the oldest entry with Seq >= seq, or
+// Len if there is none. Entries are in ascending seq order (Push enforces
+// it; Remove keeps it), so the search is binary.
+func (q *StoreQueue) lowerBound(seq uint64) int {
+	lo, hi := 0, q.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if q.at(mid).Seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Head returns the oldest entry, or nil if empty.
@@ -232,11 +246,8 @@ func (q *StoreQueue) SquashYoungerThan(seq uint64) int {
 // past them).
 func (q *StoreQueue) Search(loadSeq, addr uint64, size int, asOf uint64) SearchResult {
 	var res SearchResult
-	for i := q.n - 1; i >= 0; i-- {
+	for i := q.lowerBound(loadSeq) - 1; i >= 0; i-- {
 		st := q.at(i)
-		if st.Seq >= loadSeq {
-			continue
-		}
 		if !st.AddrKnown(asOf) {
 			res.AmbiguousOlder = true
 			continue

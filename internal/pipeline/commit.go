@@ -83,6 +83,7 @@ func (c *Core) commit() {
 func (c *Core) commitStore(u *uop) {
 	d := u.dyn
 	c.commitMem.Write(d.EffAddr, d.MemBytes, d.StoreVal)
+	c.storeMoved = true
 	c.hier.DCache.Access(d.EffAddr, c.cycle) // write access: tag update + occupancy
 	c.ssnRetire++
 	c.spct.Update(d.EffAddr, d.MemBytes, d.PC)

@@ -18,11 +18,11 @@ import (
 //
 // The steady-state cycle loop is allocation-free: uops recycle through the
 // ROB ring, oracle records through the stream's arena, completion events
-// through the event wheel's buckets, and the load/store queues are
-// fixed-capacity rings. The only allocations after warm-up are amortized
-// growth events (wheel expansion under extreme bus contention, new stall-PC
-// map keys bounded by static code size) and functional-memory page faults on
-// first touch.
+// through the event wheel's buckets, wakeup-list nodes through the
+// scheduler's slab, and the load/store queues are fixed-capacity rings. The
+// only allocations after warm-up are amortized growth events (wheel
+// expansion under extreme bus contention, new stall-PC map keys bounded by
+// static code size) and functional-memory page faults on first touch.
 type Core struct {
 	cfg Config
 
@@ -49,10 +49,9 @@ type Core struct {
 	freeList []int
 	refCnt   []int
 	physVal  []uint64
-	readyAt  []uint64 // value-available cycle per phys reg
+	readyAt  []uint64 // value-available cycle per phys reg; ^0 until the producer issues
 
-	// Scheduler.
-	iq []uint64 // seqs of dispatched, un-issued instructions, age-ordered
+	sched // wakeup/select state (sched.go)
 
 	// Completion events, bucketed by cycle on a reusable wheel.
 	events eventWheel
@@ -245,24 +244,64 @@ func New(cfg Config, p *prog.Program) *Core {
 // asserts; the experiment engine relies on it to run one simulator per
 // worker instead of constructing one per job.
 //
-// Substrate predictors and caches (branch predictor, store-sets, SSBF,
-// SPCT, IT, cache hierarchy) are rebuilt from scratch: they carry trained
-// state whose full clearing is exactly equivalent to reconstruction, and
-// they are small compared to the core's rings.
+// Substrate predictors and caches carry trained state whose full clearing
+// is exactly equivalent to reconstruction. The cache hierarchy and branch
+// predictor, the largest, are cleared in place when their geometry is
+// unchanged; store-sets, SSBF, SPCT, IT and steering are rebuilt.
 func (c *Core) Reset(cfg Config, p *prog.Program) {
-	img := p.NewImage()
-	em := emu.New(img, p.Entry)
+	c.reset(cfg, p, nil)
+	c.coldSubstrates()
+}
+
+// coldSubstrates puts the trained substrates in their cold state: cache
+// hierarchy, branch predictor, store-sets, SPCT and, under SSQ, the
+// steering tables.
+func (c *Core) coldSubstrates() {
+	if c.hier != nil && c.hier.Config() == c.cfg.Mem {
+		c.hier.Reset()
+	} else {
+		c.hier = cache.NewHierarchy(c.cfg.Mem)
+	}
+	if c.bp != nil && c.bp.Config() == c.cfg.BP {
+		c.bp.Reset()
+	} else {
+		c.bp = bpred.New(c.cfg.BP)
+	}
+	c.ss = storesets.New(c.cfg.SS)
+	c.spct = core.NewSPCT(c.cfg.SPCT)
+	c.steer = nil
+	if c.cfg.LSU == LSUSSQ {
+		c.steer = lsq.NewSteering()
+	}
+}
+
+// reset is Reset minus the trained substrates: it keeps the previous run's
+// as they are, for the caller to put in their cold state (coldSubstrates)
+// or carry over warm (ResetWindow). The run starts at the program's entry
+// point, or from the snapshot st when it is non-nil.
+func (c *Core) reset(cfg Config, p *prog.Program, st *emu.ArchState) {
+	var em *emu.Emulator
+	var commitMem *memimage.Image
+	if st == nil {
+		em = emu.New(p.NewImage(), p.Entry)
+		commitMem = p.NewImage()
+	} else {
+		em = emu.New(nil, p.Entry)
+		em.Restore(*st)
+		commitMem = st.Mem.Clone()
+	}
 	em.SetDecodeTable(p.Base, p.Decoded())
 
 	old := *c
 	*c = Core{
 		cfg:           cfg,
 		emu:           em,
-		commitMem:     p.NewImage(),
-		hier:          cache.NewHierarchy(cfg.Mem),
-		bp:            bpred.New(cfg.BP),
-		ss:            storesets.New(cfg.SS),
-		spct:          core.NewSPCT(cfg.SPCT),
+		commitMem:     commitMem,
+		hier:          old.hier,
+		bp:            old.bp,
+		ss:            old.ss,
+		spct:          old.spct,
+		steer:         old.steer,
 		wrap:          core.WrapControl{Bits: cfg.SVW.SSNBits},
 		waitBranchSeq: ^uint64(0),
 	}
@@ -288,7 +327,6 @@ func (c *Core) Reset(cfg Config, p *prog.Program) {
 	c.lq = resetLoadQueue(old.lq, cfg.LQSize)
 	if cfg.LSU == LSUSSQ {
 		c.fsq = resetStoreQueue(old.fsq, cfg.FSQSize)
-		c.steer = lsq.NewSteering()
 		if len(old.fbs) == cfg.DBanks {
 			c.fbs = old.fbs
 			for _, fb := range c.fbs {
@@ -314,9 +352,11 @@ func (c *Core) Reset(cfg Config, p *prog.Program) {
 	c.events.reset()
 	c.pendingSTD = old.pendingSTD[:0]
 	c.rexStoreBuf = old.rexStoreBuf[:0]
-	c.iq = resizeCap(old.iq, cfg.IQSize)
+	c.resetSched(&old.sched)
 	c.refWork = old.refWork[:0]
 	c.itScratch = old.itScratch[:0]
+	c.stallPC = old.stallPC
+	clear(c.stallPC)
 	if len(old.bankBusy) == cfg.DBanks {
 		c.bankBusy = old.bankBusy
 	} else {
@@ -368,13 +408,6 @@ func resetLoadQueue(q *lsq.LoadQueue, capacity int) *lsq.LoadQueue {
 		return q
 	}
 	return lsq.NewLoadQueue(capacity)
-}
-
-func resizeCap(s []uint64, capacity int) []uint64 {
-	if cap(s) >= capacity {
-		return s[:0]
-	}
-	return make([]uint64, 0, capacity)
 }
 
 func resizeInts(s []int, n int) []int {
@@ -503,6 +536,7 @@ func (c *Core) allocPhys() (int, bool) {
 	c.freeList = c.freeList[:n-1]
 	c.refCnt[p] = 0
 	c.readyAt[p] = ^uint64(0)
+	c.dropConsumers(p)
 	return p, true
 }
 

@@ -24,14 +24,15 @@ func (c *Core) doFlush() {
 	}
 	c.lq.SquashYoungerOrEqual(keep + 1)
 
-	// Scheduler and rex state.
-	out := c.iq[:0]
-	for _, seq := range c.iq {
-		if seq <= keep {
-			out = append(out, seq)
+	// Pending STDs and rex state. (squashUop already took the squashed
+	// uops out of the scheduler.)
+	stdOut := c.pendingSTD[:0]
+	for _, ev := range c.pendingSTD {
+		if ev.seq <= keep {
+			stdOut = append(stdOut, ev)
 		}
 	}
-	c.iq = out
+	c.pendingSTD = stdOut
 	bufOut := c.rexStoreBuf[:0]
 	for _, seq := range c.rexStoreBuf {
 		if seq <= keep {
@@ -56,6 +57,7 @@ func (c *Core) doFlush() {
 
 // squashUop releases one instruction's resources, youngest-first.
 func (c *Core) squashUop(u *uop) {
+	c.unschedule(u)
 	if u.itHandle >= 0 && c.it != nil {
 		// The entry survives for squash reuse; its reference keeps the
 		// destination register alive (limbo).

@@ -1,13 +1,15 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"svwsim/internal/core"
 	"svwsim/internal/emu"
 	"svwsim/internal/isa"
 	"svwsim/internal/lsq"
 )
 
-// Issue/execute: oldest-first select over the issue queue under per-class
+// Issue/execute: oldest-first select over the ready set under per-class
 // port limits; loads run the active LSU design's forwarding/disambiguation
 // logic, observing speculative memory state.
 
@@ -21,30 +23,55 @@ type issuePorts struct {
 	fsq    bool   // FSQ search port busy (1/cycle)
 }
 
+// issue is the select half of the scheduler (sched.go): it brings the
+// ready set up to this cycle, tries its members oldest-first until
+// TotalIssue uops have issued, and charges the parked loads' failed retries.
 func (c *Core) issue() {
+	c.sweep()
+	if c.storeMoved {
+		c.storeMoved = false
+		c.unparkReleased()
+	}
+	// Most cycles find the ready set empty; only the parked loads' retries
+	// are charged then, all of them reached.
+	cutoff := c.rob.count
+	if c.readyN > 0 {
+		cutoff = c.selectReady()
+	}
+	if c.nParkedSS+c.nParkedCmt > 0 {
+		c.countParked(cutoff)
+	}
+}
+
+// selectReady walks the ready set oldest-first and tries each member under
+// the per-class port limits. It returns how many ROB entries, from the
+// head, the walk reached with a load port still free: the parked loads
+// among them are the retries that fail this cycle.
+func (c *Core) selectReady() (cutoff int) {
+	buf, head, mask, count := c.rob.buf, c.rob.head, c.rob.mask, c.rob.count
+	cutoff = count
 	for i := range c.bankBusy {
 		c.bankBusy[i] = false
 	}
 	ports := issuePorts{banks: c.bankBusy}
-	compact := false
-	for i, seq := range c.iq {
-		if ports.total >= c.cfg.TotalIssue {
+	ready, width := c.ready, c.cfg.TotalIssue
+	kept := 0 // members tried this cycle that stay in ready
+	for off := 0; off < count && ports.total < width && c.readyN > kept; off++ {
+		slot := (head + off) & mask
+		// The word is re-read every step: an issue may wake a consumer
+		// into a younger slot of it.
+		w := ready[slot>>6] >> (slot & 63)
+		if w == 0 {
+			// Nothing left in this word (or in a ring shorter than one).
+			off += min(64-(slot&63), len(buf)-slot) - 1
+			continue
+		}
+		off += bits.TrailingZeros64(w)
+		if off >= count {
 			break
 		}
-		u := c.uopAt(seq)
-		if u == nil || u.issued || u.completed {
-			c.iq[i] = ^uint64(0)
-			compact = true
-			continue
-		}
-		if c.cycle < u.renameC+uint64(c.cfg.SchedDepth) {
-			// Queue is age ordered; everything younger is too new as well,
-			// but class ports may still find older candidates — just skip.
-			continue
-		}
-		if !c.srcsReadyFor(u) {
-			continue
-		}
+		slot = (head + off) & mask
+		u := &buf[slot]
 		ok := false
 		switch u.class {
 		case isa.ClassIntALU:
@@ -60,42 +87,16 @@ func (c *Core) issue() {
 		}
 		if ok {
 			ports.total++
-			c.iq[i] = ^uint64(0)
-			compact = true
+			c.takeReady(slot)
+			c.iqCount--
+			if ports.total >= width || ports.loads >= c.cfg.LoadIssue {
+				cutoff = min(cutoff, off)
+			}
+		} else if ready.has(slot) {
+			kept++ // not parked either
 		}
 	}
-	if compact {
-		c.compactIQ()
-	}
-}
-
-func (c *Core) compactIQ() {
-	out := c.iq[:0]
-	for _, seq := range c.iq {
-		if seq != ^uint64(0) {
-			out = append(out, seq)
-		}
-	}
-	c.iq = out
-}
-
-// srcsReadyFor implements the wakeup rule: a consumer may issue at cycle t
-// if each producer's value arrives by the consumer's execute start (t +
-// RegReadDepth), modeling full bypassing. Stores issue their address
-// generation as soon as the base register is ready (split STA/STD); the
-// data register is watched separately.
-func (c *Core) srcsReadyFor(u *uop) bool {
-	execStart := c.cycle + uint64(c.cfg.RegReadDepth)
-	n := u.nsrc
-	if u.isStore() {
-		n = 1 // address base only
-	}
-	for i := 0; i < n; i++ {
-		if c.readyAt[u.srcPhys[i]] > execStart {
-			return false
-		}
-	}
-	return true
+	return cutoff
 }
 
 func (c *Core) startOp(u *uop, completeAt uint64) {
@@ -104,6 +105,7 @@ func (c *Core) startOp(u *uop, completeAt uint64) {
 	u.completeC = completeAt
 	if u.destPhys != noPhys {
 		c.readyAt[u.destPhys] = completeAt
+		c.wakeConsumers(u.destPhys, completeAt)
 	}
 	c.scheduleEvent(completeAt, u)
 }
@@ -189,13 +191,13 @@ func (c *Core) tryIssueLoad(u *uop, p *issuePorts) bool {
 	switch u.waiting {
 	case waitStoreExec:
 		if c.storeStillPending(u.waitSeq) {
-			c.stats.LoadWaitSS++
+			c.park(u) // countParked charges LoadWaitSS
 			return false
 		}
 		u.waiting = waitNothing
 	case waitStoreCommit:
 		if c.storeStillInFlight(u.waitSeq) {
-			c.stats.LoadWaitCommit++
+			c.park(u) // countParked charges LoadWaitCommit
 			return false
 		}
 		u.waiting = waitNothing
@@ -287,10 +289,9 @@ func (c *Core) tryIssueLoad(u *uop, p *issuePorts) bool {
 	p.loads++
 
 	// Update the LQ view for the conventional ordering search.
-	if rec := c.lq.Find(u.seq); rec != nil {
-		rec.Issued = true
-		rec.FwdSeq, rec.FwdOK = u.fwdSeq, u.fwdOK
-	}
+	rec := c.lq.At(u.lqIdx)
+	rec.Issued = true
+	rec.FwdSeq, rec.FwdOK = u.fwdSeq, u.fwdOK
 	c.startOp(u, completeAt)
 	return true
 }

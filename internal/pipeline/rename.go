@@ -32,7 +32,7 @@ func (c *Core) rename() {
 		inst := d.Inst
 
 		// Structural stalls.
-		if c.rob.full() || len(c.iq) >= c.cfg.IQSize {
+		if c.rob.full() || c.iqCount >= c.cfg.IQSize {
 			return
 		}
 		if inst.IsLoad() && c.lq.Full() {
@@ -135,7 +135,7 @@ func (c *Core) rename() {
 			u.mispredict = true
 		}
 		if !u.completed {
-			c.iq = append(c.iq, u.seq)
+			c.dispatch(u)
 		}
 	}
 }
@@ -190,7 +190,7 @@ func (c *Core) renameLoad(u *uop, itEntry *rle.Entry, itEntryHandle int) {
 		}
 	}
 
-	c.lq.Push(lsq.LoadRec{Seq: u.seq, PC: u.dyn.PC, Addr: u.dyn.EffAddr, Size: u.dyn.MemBytes})
+	u.lqIdx = c.lq.Push(lsq.LoadRec{Seq: u.seq, PC: u.dyn.PC, Addr: u.dyn.EffAddr, Size: u.dyn.MemBytes})
 
 	if c.cfg.SVW.Enabled {
 		u.svw = core.DispatchSVW(c.ssnRetire)

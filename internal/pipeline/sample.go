@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"svwsim/internal/emu"
+	"svwsim/internal/lsq"
 	"svwsim/internal/prog"
 )
 
@@ -96,9 +97,8 @@ func (c *Core) FastForward(n uint64) (uint64, error) {
 // memory. cfg and p must describe the same program the snapshot was taken
 // from (the decode table still comes from p).
 func (c *Core) ResetFrom(cfg Config, p *prog.Program, st emu.ArchState) {
-	c.Reset(cfg, p)
-	c.emu.Restore(st)
-	c.commitMem = st.Mem.Clone()
+	c.reset(cfg, p, &st)
+	c.coldSubstrates()
 }
 
 // ResetWindow is ResetFrom for the second and later windows of one sampled
@@ -116,27 +116,29 @@ func (c *Core) ResetFrom(cfg Config, p *prog.Program, st emu.ArchState) {
 // window measures its own rates over the warm state.
 //
 // On a fresh Core (no previous window) this degrades to exactly ResetFrom.
+// Otherwise no substrate is built: besides the two clones of the snapshot's
+// memory, a window reset allocates little more than the SSBF and IT it
+// rebuilds.
 func (c *Core) ResetWindow(cfg Config, p *prog.Program, st emu.ArchState) {
-	hier, bp, ss, spct, steer := c.hier, c.bp, c.ss, c.spct, c.steer
 	cycle := c.cycle
-	c.Reset(cfg, p)
-	if hier != nil {
-		c.hier, c.bp, c.spct = hier, bp, spct
-		hier.ResetStats()
-		bp.ResetStats()
-		if ss != nil {
-			c.ss = ss
-			ss.FlushInflight()
-			ss.ResetStats()
-		}
-		if steer != nil && cfg.LSU == LSUSSQ {
-			c.steer = steer
-		}
-		c.cycle = cycle
-		c.warmCycle = cycle
+	c.reset(cfg, p, &st)
+	if c.hier == nil {
+		c.coldSubstrates()
+		return
 	}
-	c.emu.Restore(st)
-	c.commitMem = st.Mem.Clone()
+	c.hier.ResetStats()
+	c.bp.ResetStats()
+	c.ss.FlushInflight()
+	c.ss.ResetStats()
+	switch {
+	case cfg.LSU != LSUSSQ:
+		c.steer = nil
+	case c.steer == nil:
+		c.steer = lsq.NewSteering()
+	}
+	c.cycle = cycle
+	c.warmCycle = cycle
+	c.swept = cycle
 }
 
 // EmuState snapshots the underlying emulator's architectural state (see

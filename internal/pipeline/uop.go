@@ -40,9 +40,9 @@ type uop struct {
 	seq uint64
 	uid uint64 // unique per dispatch instance; disambiguates refetches
 
-	// class caches dyn.Inst.Class() (set once at rename): the issue loop
-	// classifies every queued uop every cycle, and deriving the class from
-	// the opcode each time dominated the profile.
+	// class caches dyn.Inst.Class() (set once at rename): select dispatches
+	// on it every time it tries the uop, and loads, stores and branches are
+	// classified on every commit, rex and writeback pass.
 	class isa.Class
 
 	// Renaming.
@@ -62,6 +62,7 @@ type uop struct {
 
 	// Memory.
 	ssn       core.SSN // stores
+	lqIdx     int      // loads: LQ ring index of the entry (lsq.LoadQueue.At)
 	ssSet     int32    // store-set id (stores)
 	addrKnown bool     // stores: STA has resolved
 	inFSQ     bool     // store allocated an FSQ entry
@@ -162,6 +163,9 @@ func (r *rob) at(seq uint64) *uop {
 	}
 	return nil
 }
+
+// slot returns the ring index of the in-flight uop with seq.
+func (r *rob) slot(seq uint64) int { return (r.head + int(seq-r.headSeq)) & r.mask }
 
 // headUop returns the oldest in-flight uop, or nil.
 func (r *rob) headUop() *uop {

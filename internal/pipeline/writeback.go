@@ -39,21 +39,31 @@ func (c *Core) writeback() {
 }
 
 // scanPendingSTD completes the data half of stores whose address has
-// resolved but whose data register was still in flight.
+// resolved but whose data register was still in flight. It walks the list
+// only in cycles where some STD can be due: stdDue holds the earliest known
+// data arrival, lowered by storeAddrResolved and by the data register's
+// wakeup (sched.go).
 func (c *Core) scanPendingSTD() {
+	if c.cycle < c.stdDue {
+		return
+	}
+	next := ^uint64(0)
 	out := c.pendingSTD[:0]
 	for _, ev := range c.pendingSTD {
 		u := c.uopAt(ev.seq)
 		if u == nil || u.uid != ev.uid {
 			continue // squashed
 		}
-		if c.readyAt[u.srcPhys[1]] <= c.cycle {
+		at := c.readyAt[u.srcPhys[1]]
+		if at <= c.cycle {
 			c.storeDataReady(u)
 			continue
 		}
+		next = min(next, at)
 		out = append(out, ev)
 	}
 	c.pendingSTD = out
+	c.stdDue = next
 }
 
 // storeAddrResolved fires at STA resolution (the address was published to
@@ -74,11 +84,13 @@ func (c *Core) storeAddrResolved(u *uop) {
 			c.requestFlush(ld.Seq - 1)
 		}
 	}
-	if c.readyAt[u.srcPhys[1]] <= c.cycle {
+	at := c.readyAt[u.srcPhys[1]]
+	if at <= c.cycle {
 		c.storeDataReady(u)
 		return
 	}
 	c.pendingSTD = append(c.pendingSTD, eventRec{seq: u.seq, uid: u.uid})
+	c.stdDue = min(c.stdDue, at)
 }
 
 // storeDataReady completes a store's data half (STD): the forwarding value
@@ -87,6 +99,7 @@ func (c *Core) storeAddrResolved(u *uop) {
 func (c *Core) storeDataReady(u *uop) {
 	d := u.dyn
 	u.completed = true
+	c.storeMoved = true
 	if c.cycle > u.completeC {
 		u.completeC = c.cycle
 	}
