@@ -37,6 +37,7 @@ go test -bench=Store -benchtime=1x -run='^$' ./internal/store
 # Fuzz smoke: each fuzzer gets a short budget; any crasher fails the gate.
 go test -fuzz='^FuzzProgBuilder$' -fuzztime=10s -run='^$' ./internal/prog
 go test -fuzz='^FuzzWorkloadProfile$' -fuzztime=10s -run='^$' ./internal/workload
+go test -fuzz='^FuzzIdleSkip$' -fuzztime=10s -run='^$' ./internal/pipeline
 
 # Measured-performance gate: BenchmarkEngine/j=1 must hold its speedup over
 # the pre-rewrite baseline recorded in BENCH_pipeline.json.

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"svwsim/internal/api"
@@ -59,6 +61,37 @@ func newFabric(t *testing.T, n int, opts Options, wrap func(i int, h http.Handle
 	t.Cleanup(c.client.CloseIdleConnections)
 	f.c = c
 	return f
+}
+
+// faultOn returns a newFabric wrap that interposes faulty on every
+// backend, active only on the backend whose index set chooses (none until
+// then). Routing hashes the backends' random test ports, so a test learns
+// which backend homes its jobs only once the listeners exist; faulting
+// that backend makes the fault hit the job on every run.
+func faultOn(faulty func(h http.Handler) http.Handler) (wrap func(int, http.Handler) http.Handler, set func(int)) {
+	var target atomic.Int32
+	target.Store(-1)
+	wrap = func(i int, h http.Handler) http.Handler {
+		bad := faulty(h)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if int(target.Load()) == i {
+				bad.ServeHTTP(w, r)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	return wrap, func(i int) { target.Store(int32(i)) }
+}
+
+// homeOf returns the index of the backend that homes key: the first in its
+// rendezvous ranking.
+func (f *fabric) homeOf(key string) int {
+	urls := make([]string, len(f.backends))
+	for i, b := range f.backends {
+		urls[i] = b.URL
+	}
+	return slices.Index(urls, rankURLs(urls, key)[0])
 }
 
 // do runs one request through the coordinator's handler.

@@ -92,20 +92,17 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// stragglerFabric builds a two-backend fabric whose backend 0 holds every
-// /v1/run until release is called or the attempt is cancelled, and picks a
-// config whose run is homed on backend 0: a run of it can only be answered
-// by a hedge to backend 1 while the hold lasts. The hold is released at
-// cleanup at the latest.
-func stragglerFabric(t *testing.T) (f *fabric, config string, release func()) {
+// stragglerFabric builds a two-backend fabric whose backend homing config's
+// run holds every /v1/run until release is called or the attempt is
+// cancelled: a run of config can only be answered by a hedge to the other
+// backend, fast, while the hold lasts. The hold is released at cleanup at
+// the latest.
+func stragglerFabric(t *testing.T) (f *fabric, config string, fast *httptest.Server, release func()) {
 	t.Helper()
 	hold := make(chan struct{})
 	var once sync.Once
 	release = func() { once.Do(func() { close(hold) }) }
-	f = newFabric(t, 2, Options{HedgeAfter: 20 * time.Millisecond}, func(i int, h http.Handler) http.Handler {
-		if i != 0 {
-			return h
-		}
+	wrap, holdOn := faultOn(func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/run" {
 				select {
@@ -117,18 +114,13 @@ func stragglerFabric(t *testing.T) (f *fabric, config string, release func()) {
 			h.ServeHTTP(w, r)
 		})
 	})
+	f = newFabric(t, 2, Options{HedgeAfter: 20 * time.Millisecond}, wrap)
 	t.Cleanup(release) // runs before the fabric's own cleanups
 
-	// The key population is the registry, so some probe config is homed on
-	// the held backend.
-	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
-		key := jobKey(t, cname, "gcc")
-		if rankURLs([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
-			return f, cname, release
-		}
-	}
-	t.Skip("no probe config homed on the held backend")
-	return nil, "", nil
+	config = "ssq"
+	held := f.homeOf(jobKey(t, config, "gcc"))
+	holdOn(held)
+	return f, config, f.backends[1-held], release
 }
 
 // runWhileHeld posts a run of config and waits for the answer, which has to
@@ -190,7 +182,7 @@ func dispatchSpan(t *testing.T, f *fabric, traceID string) api.SpanJSON {
 // held until the answer arrives, so the hedge wins by construction rather
 // than by beating a timer.
 func TestHedgedRequestWinsOverStraggler(t *testing.T) {
-	f, config, release := stragglerFabric(t)
+	f, config, _, release := stragglerFabric(t)
 	w := runWhileHeld(t, f, config, "hedge-wins-1", release)
 	if w.Code != http.StatusOK {
 		t.Fatalf("HTTP %d: %s", w.Code, w.Body)

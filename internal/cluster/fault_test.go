@@ -42,16 +42,35 @@ func failAfterN(n int64, h http.Handler) http.Handler {
 // reference, every job retried onto a survivor, and the stats must count
 // each job exactly once — on the coordinator AND summed across the
 // backends' own caches (the no-double-count contract).
+//
+// Routing hashes the backends' URLs, which are random test ports, so the
+// failing backend is chosen once the listeners exist: the one homing the
+// most sweep jobs. That is at least a third of them, well past
+// passThrough, so the fault always fires mid-sweep.
 func TestSweepSurvives503MidSweep(t *testing.T) {
 	const passThrough = 3
-	f := newFabric(t, 3, Options{}, func(i int, h http.Handler) http.Handler {
-		if i == 0 {
-			return failAfterN(passThrough, h)
-		}
-		return h
-	})
+	wrap, fail := faultOn(func(h http.Handler) http.Handler { return failAfterN(passThrough, h) })
+	f := newFabric(t, 3, Options{}, wrap)
 	configs := sim.ConfigNames()
 	njobs := uint64(len(configs) * len(faultBenches))
+
+	homed := make([]int, len(f.backends))
+	for _, cname := range configs {
+		for _, bench := range faultBenches {
+			homed[f.homeOf(jobKey(t, cname, bench))]++
+		}
+	}
+	busiest := 0
+	for i := range homed {
+		if homed[i] > homed[busiest] {
+			busiest = i
+		}
+	}
+	if homed[busiest] <= passThrough {
+		t.Fatalf("busiest backend homes only %d of %d jobs", homed[busiest], njobs)
+	}
+	fail(busiest)
+	failURL := f.backends[busiest].URL
 
 	w := f.do("POST", "/v1/sweep", sweepBody(configs, faultBenches), nil)
 	if w.Code != http.StatusOK {
@@ -72,7 +91,7 @@ func TestSweepSurvives503MidSweep(t *testing.T) {
 	var sumOK uint64
 	for _, b := range st.Cluster.Backends {
 		sumOK += b.JobsOK
-		if b.URL == f.backends[0].URL {
+		if b.URL == failURL {
 			if b.JobsOK > passThrough {
 				t.Errorf("failed backend won %d jobs, can have served at most %d", b.JobsOK, passThrough)
 			}

@@ -17,40 +17,28 @@ import (
 // of failing the attempt. With the bound set, the walk must give up on the
 // hung backend and retry onto the next ranked one.
 func TestHungBackendRetriedUnderHeaderTimeout(t *testing.T) {
-	f := newFabric(t, 2, Options{ResponseHeaderTimeout: 300 * time.Millisecond},
-		func(i int, h http.Handler) http.Handler {
-			if i != 0 {
-				return h
+	wrap, hang := faultOn(func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/run" {
+				// Accept the request, send nothing. The body must be
+				// drained: the server starts its background read (the
+				// thing that cancels r.Context on client disconnect) only
+				// once the request body hits EOF, and blocking on the
+				// context (not forever) lets the httptest server shut
+				// down cleanly once the client abandons the attempt.
+				io.Copy(io.Discard, r.Body)
+				<-r.Context().Done()
+				return
 			}
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/v1/run" {
-					// Accept the request, send nothing. The body must be
-					// drained: the server starts its background read (the
-					// thing that cancels r.Context on client disconnect) only
-					// once the request body hits EOF, and blocking on the
-					// context (not forever) lets the httptest server shut
-					// down cleanly once the client abandons the attempt.
-					io.Copy(io.Discard, r.Body)
-					<-r.Context().Done()
-					return
-				}
-				h.ServeHTTP(w, r)
-			})
+			h.ServeHTTP(w, r)
 		})
+	})
+	f := newFabric(t, 2, Options{ResponseHeaderTimeout: 300 * time.Millisecond}, wrap)
 
-	// A job homed on the hung backend, so the first attempt stalls waiting
-	// for headers and the retry walks to the healthy one.
-	var cfg string
-	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
-		key := jobKey(t, cname, "gcc")
-		if rankURLs([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
-			cfg = cname
-			break
-		}
-	}
-	if cfg == "" {
-		t.Skip("no probe config homed on the hung backend")
-	}
+	// Hang the job's home backend, so the first attempt stalls waiting for
+	// headers and the retry walks to the healthy one.
+	cfg := "ssq"
+	hang(f.homeOf(jobKey(t, cfg, "gcc")))
 
 	body, _ := json.Marshal(api.RunRequest{Config: cfg, Bench: "gcc", Insts: testInsts})
 	start := time.Now()

@@ -120,10 +120,7 @@ func TestClusterTraceCorrelation(t *testing.T) {
 // job retries onto the fallback, and the fallback's trace carries the
 // coordinator's trace ID; the coordinator's trace shows both attempts.
 func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
-	f := newFabric(t, 2, Options{}, func(i int, h http.Handler) http.Handler {
-		if i != 0 {
-			return h
-		}
+	wrap, fail := faultOn(func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/run" {
 				api.WriteError(w, http.StatusServiceUnavailable, "injected fault: backend down")
@@ -132,20 +129,14 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
+	f := newFabric(t, 2, Options{}, wrap)
 
-	// A job homed on the failing backend, so the first attempt 503s and
-	// the retry walks to the healthy one.
-	var cfg string
-	for _, cname := range []string{"ssq", "nlq", "rle", "ssq+svw", "base-ssq", "base-nlq"} {
-		key := jobKey(t, cname, "gcc")
-		if rankURLs([]string{f.backends[0].URL, f.backends[1].URL}, key)[0] == f.backends[0].URL {
-			cfg = cname
-			break
-		}
-	}
-	if cfg == "" {
-		t.Skip("no probe config homed on the failing backend")
-	}
+	// Fail the job's home backend, so the first attempt 503s and the retry
+	// walks to the healthy one.
+	cfg := "ssq"
+	home := f.homeOf(jobKey(t, cfg, "gcc"))
+	fail(home)
+	failed, healthy := f.backends[home], f.backends[1-home]
 
 	body, _ := json.Marshal(api.RunRequest{Config: cfg, Bench: "gcc", Insts: testInsts})
 	hdr := map[string]string{api.TraceHeader: "retry-run-1"}
@@ -156,30 +147,30 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 	// Coordinator: one dispatch, two attempts — the 503 and the winner —
 	// the second marked as a retry.
 	ct := coordTrace(t, f, "retry-run-1")
-	var failed, won, retries int
+	var failedN, won, retries int
 	for _, sp := range ct.Spans {
 		if sp.Name != "attempt" {
 			continue
 		}
 		switch sp.Attrs["status"] {
 		case "503":
-			failed++
+			failedN++
 		case "200":
 			won++
-			if sp.Attrs["backend"] != f.backends[1].URL {
-				t.Fatalf("winning attempt on %s, want %s", sp.Attrs["backend"], f.backends[1].URL)
+			if sp.Attrs["backend"] != healthy.URL {
+				t.Fatalf("winning attempt on %s, want %s", sp.Attrs["backend"], healthy.URL)
 			}
 		}
 		if sp.Attrs["retry"] != "" {
 			retries++
 		}
 	}
-	if failed == 0 || won != 1 || retries == 0 {
-		t.Fatalf("attempt spans: %d failed / %d won / %d retries; trace %+v", failed, won, retries, ct)
+	if failedN == 0 || won != 1 || retries == 0 {
+		t.Fatalf("attempt spans: %d failed / %d won / %d retries; trace %+v", failedN, won, retries, ct)
 	}
 
 	// The winning backend's own trace carries the same ID.
-	bt, ok := backendTrace(t, f.backends[1], "retry-run-1")
+	bt, ok := backendTrace(t, healthy, "retry-run-1")
 	if !ok {
 		t.Fatal("winning backend did not record the trace ID")
 	}
@@ -187,7 +178,7 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 		t.Fatalf("winning backend spans: %v", bn)
 	}
 	// The 503ing wrapper answered before svwd's tracer: no trace there.
-	if _, ok := backendTrace(t, f.backends[0], "retry-run-1"); ok {
+	if _, ok := backendTrace(t, failed, "retry-run-1"); ok {
 		t.Fatal("failed backend recorded a trace despite never reaching the daemon")
 	}
 }
@@ -198,7 +189,7 @@ func TestRetryTraceFollowsToWinningBackend(t *testing.T) {
 // cancellation and is marked outcome=abandoned (it may land after the
 // request finishes -- the ring keeps the live trace, so polling sees it).
 func TestHedgeTraceMarksAbandonedAttempt(t *testing.T) {
-	f, cfg, release := stragglerFabric(t)
+	f, cfg, fast, release := stragglerFabric(t)
 	if w := runWhileHeld(t, f, cfg, "hedge-run-1", release); w.Code != http.StatusOK {
 		t.Fatalf("run: HTTP %d: %s", w.Code, w.Body.String())
 	}
@@ -209,13 +200,13 @@ func TestHedgeTraceMarksAbandonedAttempt(t *testing.T) {
 		dispatch.Attrs["abandoned"] != "primary" {
 		t.Fatalf("dispatch attrs: %v", dispatch.Attrs)
 	}
-	if dispatch.Attrs["backend"] != f.backends[1].URL {
+	if dispatch.Attrs["backend"] != fast.URL {
 		t.Fatalf("winning backend attr %q, want the fast one %q",
-			dispatch.Attrs["backend"], f.backends[1].URL)
+			dispatch.Attrs["backend"], fast.URL)
 	}
 
 	// The hedge winner's spans carry the trace ID on its backend.
-	if _, ok := backendTrace(t, f.backends[1], "hedge-run-1"); !ok {
+	if _, ok := backendTrace(t, fast, "hedge-run-1"); !ok {
 		t.Fatal("hedge-winning backend did not record the trace ID")
 	}
 	awaitPrimaryAbandoned(t, f, "hedge-run-1")

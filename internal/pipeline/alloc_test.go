@@ -97,9 +97,9 @@ func TestEventWheelDiscardsFlushSkippedBucket(t *testing.T) {
 // TestSteadyStateCycleLoopAllocationFree runs the full SVW-filtered machine
 // deep into steady state and bounds the cycle loop's residual allocation
 // rate. The bound is not exactly zero — functional-memory pages fault in on
-// first touch and the stall-PC histogram admits new static PCs — but those
-// are one-time events; a per-cycle allocation leaking back into a stage
-// shows up orders of magnitude above the threshold.
+// first touch — but those are one-time events; a per-cycle allocation
+// leaking back into a stage shows up orders of magnitude above the
+// threshold.
 func TestSteadyStateCycleLoopAllocationFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are perturbed under -race")

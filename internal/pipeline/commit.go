@@ -14,47 +14,11 @@ import (
 // the predictors train so the mis-speculation does not recur.
 
 func (c *Core) commit() {
-	commitLat := c.cfg.commitLat()
 	for n := 0; n < c.cfg.CommitWidth; n++ {
 		u := c.rob.headUop()
-		if u == nil {
+		if why := c.headStall(u); why != stallNone {
 			if n == 0 {
-				c.stats.StallHeadEmpty++
-			}
-			return
-		}
-		if !u.completed {
-			if n == 0 {
-				c.stats.StallIncomplete++
-				switch {
-				case u.isLoad():
-					c.stats.StallHeadLoad++
-				case u.isStore():
-					c.stats.StallHeadStore++
-				case u.isBranch():
-					c.stats.StallHeadBranch++
-				default:
-					c.stats.StallHeadALU++
-				}
-				if !u.issued {
-					c.stats.StallHeadUnissued++
-				}
-				if c.stallPC == nil {
-					c.stallPC = make(map[uint64]uint64)
-				}
-				c.stallPC[u.dyn.PC]++
-			}
-			return
-		}
-		if c.cycle < u.completeC+commitLat {
-			if n == 0 {
-				c.stats.StallCommitLat++
-			}
-			return
-		}
-		if c.cfg.Rex == RexReal && (u.rexDoneAt == ^uint64(0) || c.cycle < u.rexDoneAt) {
-			if n == 0 {
-				c.stats.StallRexWait++
+				c.chargeStall(why, u, 1)
 			}
 			return
 		}
@@ -67,6 +31,7 @@ func (c *Core) commit() {
 			if c.portsUsed >= c.cfg.RetirePorts {
 				if n == 0 {
 					c.stats.StallStorePort++
+					c.worked = true // not an idle cycle: skipping would lose the count
 				}
 				return // retirement port busy (or held by a re-access)
 			}
@@ -77,6 +42,63 @@ func (c *Core) commit() {
 		if c.done {
 			return
 		}
+	}
+}
+
+// stallCause names why the ROB head cannot retire in a cycle; the commit
+// stall counters charge the first blocked slot of each cycle by it.
+type stallCause uint8
+
+const (
+	stallNone       stallCause = iota
+	stallHeadEmpty             // ROB empty
+	stallIncomplete            // head not executed yet
+	stallCommitLat             // head inside the commit/rex pipeline depth
+	stallRexWait               // head completed, rex has not passed it
+)
+
+// headStall reports why u, the ROB head (nil when the ROB is empty), cannot
+// retire this cycle, or stallNone if nothing in its own state holds it.
+func (c *Core) headStall(u *uop) stallCause {
+	switch {
+	case u == nil:
+		return stallHeadEmpty
+	case !u.completed:
+		return stallIncomplete
+	case c.cycle < u.completeC+c.cfg.commitLat():
+		return stallCommitLat
+	case c.cfg.Rex == RexReal && (u.rexDoneAt == ^uint64(0) || c.cycle < u.rexDoneAt):
+		return stallRexWait
+	}
+	return stallNone
+}
+
+// chargeStall charges n commit-blocked cycles of cause why, with u at the
+// ROB head: one from commit, a whole idle run from skipIdle.
+func (c *Core) chargeStall(why stallCause, u *uop, n uint64) {
+	s := &c.stats
+	switch why {
+	case stallHeadEmpty:
+		s.StallHeadEmpty += n
+	case stallIncomplete:
+		s.StallIncomplete += n
+		switch {
+		case u.isLoad():
+			s.StallHeadLoad += n
+		case u.isStore():
+			s.StallHeadStore += n
+		case u.isBranch():
+			s.StallHeadBranch += n
+		default:
+			s.StallHeadALU += n
+		}
+		if !u.issued {
+			s.StallHeadUnissued += n
+		}
+	case stallCommitLat:
+		s.StallCommitLat += n
+	case stallRexWait:
+		s.StallRexWait += n
 	}
 }
 
@@ -103,6 +125,7 @@ func (c *Core) commitStore(u *uop) {
 }
 
 func (c *Core) commitOne(u *uop) {
+	c.worked = true
 	switch {
 	case u.isLoad():
 		c.commitLoadStats(u)

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"svwsim/internal/bpred"
 	"svwsim/internal/cache"
@@ -21,8 +22,8 @@ import (
 // through the event wheel's buckets, wakeup-list nodes through the
 // scheduler's slab, and the load/store queues are fixed-capacity rings. The
 // only allocations after warm-up are amortized growth events (wheel
-// expansion under extreme bus contention, new stall-PC map keys bounded by
-// static code size) and functional-memory page faults on first touch.
+// expansion under extreme bus contention) and functional-memory page faults
+// on first touch.
 type Core struct {
 	cfg Config
 
@@ -105,32 +106,15 @@ type Core struct {
 	committedTotal uint64 // includes warm-up commits
 	warmDone       bool
 	warmCycle      uint64 // cycle at which measurement began
-	stallPC        map[uint64]uint64
+	// worked records whether the current step changed any state; a step
+	// that did not is idle, and Run skips the idle cycles after it
+	// (idle.go).
+	worked bool
 
 	// Reusable scratch (never escapes a call).
 	bankBusy  []bool      // per-cycle D$ bank occupancy (issue)
 	refWork   []int       // releaseRef work list
 	itScratch []rle.Entry // InvalidateByBase result buffer
-}
-
-// TopStallPCs returns up to n (pc, cycles) pairs of head-blocking PCs,
-// most-blocking first (diagnostics).
-func (c *Core) TopStallPCs(n int) [][2]uint64 {
-	var out [][2]uint64
-	for pc, cnt := range c.stallPC {
-		out = append(out, [2]uint64{pc, cnt})
-	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j][1] > out[i][1] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
 }
 
 type eventRec struct {
@@ -151,10 +135,12 @@ type fetchRec struct {
 // multiple of the wheel size — force a growth instead of mixing. Buckets are
 // reused via [:0] truncation; after the wheel reaches the machine's event
 // horizon (memory latency plus worst-case bus queueing), scheduling and
-// draining never allocate.
+// draining never allocate. occ marks the non-empty slots, so the next
+// pending cycle is found by a bit scan (next) instead of a walk over slots.
 type eventWheel struct {
 	slots []eventSlot
 	mask  uint64
+	occ   slotSet
 }
 
 type eventSlot struct {
@@ -168,6 +154,7 @@ func (w *eventWheel) init() {
 	if w.slots == nil {
 		w.slots = make([]eventSlot, initialWheelSize)
 		w.mask = initialWheelSize - 1
+		w.occ = make(slotSet, initialWheelSize/64)
 	}
 }
 
@@ -176,6 +163,7 @@ func (w *eventWheel) reset() {
 	for i := range w.slots {
 		w.slots[i].evs = w.slots[i].evs[:0]
 	}
+	clear(w.occ)
 }
 
 // schedule adds an event for the given cycle, growing the wheel when the
@@ -196,6 +184,7 @@ func (w *eventWheel) schedule(now, cycle uint64, ev eventRec) {
 	}
 	s.cycle = cycle
 	s.evs = append(s.evs, ev)
+	w.occ.add(int(cycle & w.mask))
 }
 
 // take returns (and logically empties) the bucket for cycle. The returned
@@ -208,7 +197,39 @@ func (w *eventWheel) take(cycle uint64) []eventRec {
 	}
 	evs := s.evs
 	s.evs = s.evs[:0]
+	w.occ.remove(int(cycle & w.mask))
 	return evs
+}
+
+// next returns a cycle at or after now that no pending event precedes:
+// the first cycle from now whose slot is occupied, or ^0 if none is. A
+// bucket left behind now by a flush is discarded on the way, as schedule
+// would. The answer is exact unless the occupying bucket lies a whole
+// wheel or more ahead, in which case it is early, which costs an idle step
+// and never an event.
+func (w *eventWheel) next(now uint64) uint64 {
+	size := uint64(len(w.slots))
+	for d := uint64(0); d < size; {
+		k := (now + d) & w.mask
+		word := w.occ[k>>6] >> (k & 63)
+		if word == 0 {
+			d += 64 - k&63
+			continue
+		}
+		d += uint64(bits.TrailingZeros64(word))
+		if d >= size {
+			break
+		}
+		k = (now + d) & w.mask
+		if s := &w.slots[k]; s.cycle < now {
+			s.evs = s.evs[:0]
+			w.occ.remove(int(k))
+			d++
+			continue
+		}
+		return now + d
+	}
+	return ^uint64(0)
 }
 
 // grow doubles the wheel, redistributing occupied buckets.
@@ -216,13 +237,16 @@ func (w *eventWheel) grow() {
 	old := w.slots
 	w.slots = make([]eventSlot, 2*len(old))
 	w.mask = uint64(len(w.slots)) - 1
+	w.occ = make(slotSet, len(w.slots)/64)
 	for i := range old {
 		if len(old[i].evs) == 0 {
 			continue
 		}
-		s := &w.slots[old[i].cycle&w.mask]
+		k := old[i].cycle & w.mask
+		s := &w.slots[k]
 		s.cycle = old[i].cycle
 		s.evs = append(s.evs, old[i].evs...)
+		w.occ.add(int(k))
 	}
 }
 
@@ -355,8 +379,6 @@ func (c *Core) reset(cfg Config, p *prog.Program, st *emu.ArchState) {
 	c.resetSched(&old.sched)
 	c.refWork = old.refWork[:0]
 	c.itScratch = old.itScratch[:0]
-	c.stallPC = old.stallPC
-	clear(c.stallPC)
 	if len(old.bankBusy) == cfg.DBanks {
 		c.bankBusy = old.bankBusy
 	} else {
@@ -454,7 +476,7 @@ func (c *Core) Run() error {
 			return fmt.Errorf("pipeline: cycle limit %d hit at %d committed insts (deadlock?)\n%s",
 				c.cfg.MaxCycles, c.stats.Committed, c.debugState())
 		}
-		c.step()
+		c.advance()
 		if err := c.stream.Err(); err != nil {
 			return err
 		}
@@ -463,10 +485,20 @@ func (c *Core) Run() error {
 	return nil
 }
 
+// advance runs one step and, when that step was idle, moves the clock past
+// the idle cycles that follow it (idle.go).
+func (c *Core) advance() {
+	c.step()
+	if !c.worked {
+		c.skipIdle()
+	}
+}
+
 // step advances one cycle. Stages run commit-first (reverse pipeline order)
 // so each stage sees the previous cycle's state of its upstream neighbor.
 func (c *Core) step() {
 	c.portsUsed = 0
+	c.worked = false
 	c.commit()
 	if c.flushPend {
 		c.doFlush()
@@ -491,6 +523,7 @@ func (c *Core) step() {
 	}
 	if iv := c.cfg.SS.ClearInterval; iv > 0 && c.cycle > 0 && c.cycle%iv == 0 {
 		c.ss.Clear()
+		c.worked = true
 	}
 	c.cycle++
 }
@@ -511,6 +544,7 @@ func (c *Core) finalizeStats() {
 // requestFlush records a squash of everything with seq > keepSeq; when a
 // flush is already pending, the older keep point wins.
 func (c *Core) requestFlush(keepSeq uint64) {
+	c.worked = true
 	if !c.flushPend || keepSeq < c.flushKeep {
 		c.flushKeep = keepSeq
 	}

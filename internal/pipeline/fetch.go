@@ -48,6 +48,9 @@ func (c *Core) fetch() {
 		if c.fetchLen >= capacity {
 			return
 		}
+		// From here on fetch always changes state: it takes a record from
+		// the stream, touches the I$, or accepts.
+		c.worked = true
 		rec := c.pendingRec
 		if rec == nil {
 			rec = c.stream.Next()

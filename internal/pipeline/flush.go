@@ -86,6 +86,7 @@ func (c *Core) maybeInvalidate() {
 		return
 	}
 	c.stats.Invalidations++
+	c.worked = true
 	if c.ssbf != nil {
 		c.ssbf.Invalidate(c.lastStoreLine, core.InvalidationSSN(c.ssnRename))
 	}

@@ -33,9 +33,12 @@ func (c *Core) issue() {
 		c.unparkReleased()
 	}
 	// Most cycles find the ready set empty; only the parked loads' retries
-	// are charged then, all of them reached.
+	// are charged then, all of them reached. A cycle that tries a member is
+	// never idle: whatever the outcome, a member that stays in ready is
+	// tried again next cycle.
 	cutoff := c.rob.count
 	if c.readyN > 0 {
+		c.worked = true
 		cutoff = c.selectReady()
 	}
 	if c.nParkedSS+c.nParkedCmt > 0 {

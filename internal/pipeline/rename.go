@@ -27,6 +27,7 @@ func (c *Core) rename() {
 				return
 			}
 			c.performDrain()
+			c.worked = true
 		}
 		d := fr.dyn
 		inst := d.Inst
@@ -45,6 +46,7 @@ func (c *Core) rename() {
 			if c.cfg.SVW.Enabled && c.wrap.ShouldDrain(c.ssnRename) &&
 				c.drainedAt != c.ssnRename {
 				c.drainPending = true
+				c.worked = true
 				return
 			}
 		}
@@ -69,6 +71,7 @@ func (c *Core) rename() {
 		if c.it != nil && inst.IsLoad() && inst.Dest() != isa.Zero {
 			sig := rle.Sig(inst.Op, srcPhys[0], inst.Imm)
 			itEntry, itEntryHandle = c.it.Lookup(sig, c.cfg.RLE.SquashReuse)
+			c.worked = true // a lookup moves the IT's counters and recency
 			if itEntry != nil && itEntry.FromSquash &&
 				c.readyAt[itEntry.DestPhys] == ^uint64(0) {
 				// The squashed producer never executed; there is no value
@@ -96,6 +99,7 @@ func (c *Core) rename() {
 				if c.it != nil {
 					if e, ok := c.it.EvictOne(); ok {
 						c.releaseRef(e.DestPhys)
+						c.worked = true
 					}
 				}
 				return
@@ -107,6 +111,7 @@ func (c *Core) rename() {
 		}
 
 		// Allocate the ROB entry.
+		c.worked = true
 		u := c.rob.push(d.Seq)
 		c.uidGen++
 		u.uid = c.uidGen

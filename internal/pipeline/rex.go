@@ -21,14 +21,24 @@ import (
 // store — the paper's critical loop — without serializing back-to-back
 // re-executing loads against each other.
 
+// rex runs the configured walker. Every walker action advances rexHead, so
+// an unmoved rexHead means the walker did nothing this cycle.
 func (c *Core) rex() {
+	before := c.rexHead
 	switch c.cfg.Rex {
-	case RexNone:
-		return
+	case RexReal:
+		c.rexReal()
 	case RexPerfect:
 		c.rexPerfect()
-		return
 	}
+	if c.rexHead != before {
+		c.worked = true
+	}
+}
+
+// rexReal is the modeled walker: CommitWidth instructions per cycle, with
+// re-accesses competing for the retirement ports.
+func (c *Core) rexReal() {
 	if !c.rob.empty() && c.rexHead < c.rob.headSeq {
 		c.rexHead = c.rob.headSeq
 	}

@@ -57,8 +57,9 @@ type sched struct {
 	readyN int       // members of ready
 	wheel  []slotSet // bucket k: wake cycle ≡ k (mod wheelSlots)
 	// wheelWords[k] bit j set: bucket k may have members in words j,
-	// j+64, j+128, ...
+	// j+64, j+128, ...; wheelOcc bit k set: wheelWords[k] != 0.
 	wheelWords [wheelSlots]uint64
+	wheelOcc   uint64
 	far        slotSet // wake cycle beyond the wheel's reach
 	farMin     uint64  // earliest wake cycle in far; ^0 when far is empty
 	swept      uint64  // last cycle whose bucket has joined ready
@@ -210,6 +211,7 @@ func (c *Core) enqueue(slot int) {
 		k := wake % wheelSlots
 		c.wheel[k].add(slot)
 		c.wheelWords[k] |= 1 << (slot >> 6 & 63)
+		c.wheelOcc |= 1 << k
 	default:
 		c.far.add(slot)
 		c.farMin = min(c.farMin, wake)
@@ -228,17 +230,33 @@ func (c *Core) takeReady(slot int) {
 }
 
 // sweep brings ready up to the current cycle: the bucket of every cycle
-// since the last sweep joins it, and so do the far members now due.
+// since the last sweep joins it, and so do the far members now due. It
+// visits occupied buckets only, so a clock that jumped over idle cycles
+// costs nothing extra.
 func (c *Core) sweep() {
 	for c.swept < c.cycle {
-		c.swept++
-		if k := c.swept % wheelSlots; c.wheelWords[k] != 0 {
-			c.mergeBucket(k)
+		next := c.nextWheelCycle()
+		if next > c.cycle {
+			c.swept = c.cycle
+			break
 		}
+		c.swept = next
+		c.mergeBucket(next % wheelSlots)
 	}
 	if c.farMin <= c.cycle {
 		c.sweepFar()
 	}
+}
+
+// nextWheelCycle returns the earliest cycle after swept whose wheel bucket
+// may have members, or ^0 when every bucket is empty. Bucket k holds the
+// wake cycle in (swept, swept+wheelSlots) congruent to k.
+func (c *Core) nextWheelCycle() uint64 {
+	if c.wheelOcc == 0 {
+		return ^uint64(0)
+	}
+	from := c.swept + 1
+	return from + uint64(bits.TrailingZeros64(bits.RotateLeft64(c.wheelOcc, -int(from%wheelSlots))))
 }
 
 func (c *Core) mergeBucket(k uint64) {
@@ -251,6 +269,7 @@ func (c *Core) mergeBucket(k uint64) {
 		}
 	}
 	c.wheelWords[k] = 0
+	c.wheelOcc &^= 1 << k
 }
 
 func (c *Core) sweepFar() {

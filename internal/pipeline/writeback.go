@@ -10,6 +10,7 @@ func (c *Core) writeback() {
 	if evs == nil {
 		return
 	}
+	c.worked = true
 	// Process the whole batch even if a violation flush is requested
 	// mid-way: events for instructions older than the flush point must not
 	// be lost, and state published for about-to-be-squashed instructions is
@@ -100,6 +101,7 @@ func (c *Core) storeDataReady(u *uop) {
 	d := u.dyn
 	u.completed = true
 	c.storeMoved = true
+	c.worked = true
 	if c.cycle > u.completeC {
 		u.completeC = c.cycle
 	}

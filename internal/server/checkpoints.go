@@ -14,19 +14,21 @@ import (
 // checkpoints are promoted into the local memory tier only, like peer
 // result reads, so the persistent copy stays where the sharding map says
 // it lives.
+//
+// A checkpoint probe is not a served result: the store's tier counters
+// (svw_store_requests_total, the /v1/stats hits) count results only, so
+// probes leave them alone. The engine's own checkpoint counters (hits,
+// puts, fast-forwards) account for checkpoints.
 type serverCheckpoints struct{ s *Server }
 
 func (c serverCheckpoints) GetCheckpoint(key string) ([]byte, bool) {
-	val, origin := c.s.store.Get(key)
-	if origin != store.OriginMiss {
-		c.s.store.AccountGet(origin)
+	if val, origin := c.s.store.Get(key); origin != store.OriginMiss {
 		return val, true
 	}
 	// The engine probes mid-job with no request context in scope;
 	// peerFetch bounds the read with its own peer timeout.
 	if val, ok := c.s.peerFetch(context.Background(), nil, key); ok {
 		c.s.store.PutMemory(key, val)
-		c.s.store.AccountGet(store.OriginPeer)
 		return val, true
 	}
 	return nil, false

@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"svwsim/internal/sim/engine"
+	"svwsim/internal/store"
 )
 
 // The fabric checkpoint headline: a sampled run at one member persists its
 // fast-forward warm state, and a sampled run of a DIFFERENT config at
 // another member restores that state over the peer-read protocol instead
-// of re-emulating — zero fast-forward legs on the second member, the
-// checkpoint counted as a peer hit.
+// of re-emulating — zero fast-forward legs on the second member, and the
+// warm state promoted into its memory tier. A checkpoint is not a served
+// result, so the peer read leaves the result-tier counters untouched.
 func TestShardedCheckpointReuseOverPeerReads(t *testing.T) {
 	// One fast-forward leg: windows at skip 0 and 4000 of a 8000-inst run,
 	// so exactly one checkpoint key exists and the test can pin the warm
@@ -60,8 +62,11 @@ func TestShardedCheckpointReuseOverPeerReads(t *testing.T) {
 			sm.FastForwards, sm.CheckpointHits, sm)
 	}
 	after := cacheStats(t, f.servers[peer])
-	if d := after.PeerHits - before.PeerHits; d != 1 {
-		t.Fatalf("peer member accounted %d peer hits for the checkpoint, want 1", d)
+	if d := after.PeerHits - before.PeerHits; d != 0 {
+		t.Fatalf("peer member accounted %d peer hits for the checkpoint, want 0 (not a served result)", d)
+	}
+	if _, origin := f.servers[peer].store.Get(ckptKey); origin != store.OriginMemory {
+		t.Fatalf("fetched checkpoint not promoted to the peer's memory tier (origin %v)", origin)
 	}
 
 	// The fetched checkpoint was promoted to the peer member's memory
@@ -76,5 +81,29 @@ func TestShardedCheckpointReuseOverPeerReads(t *testing.T) {
 	}
 	if d := cacheStats(t, f.servers[peer]).PeerHits - after.PeerHits; d != 0 {
 		t.Fatalf("third run went back to the peer (%d peer hits), want local memory serve", d)
+	}
+}
+
+// TestCheckpointProbesAreNotServedResults: sampled runs probe the store for
+// fast-forward checkpoints, and those probes must not count as served
+// results. Two sampled runs of different configs over one benchmark share
+// their checkpoints (the second run's probes all hit), yet the result-tier
+// counters must read exactly one per cell: two computed misses, no hits.
+func TestCheckpointProbesAreNotServedResults(t *testing.T) {
+	s := newTestServer(Options{})
+	for _, config := range []string{"ssq", "nlq"} {
+		body := fmt.Sprintf(`{"config":%q,"bench":"gcc","insts":%d,"sample_warmup":1000,"sample_detail":1000,"sample_period":2000}`,
+			config, testInsts)
+		if w := do(s, "POST", "/v1/run", body, nil); w.Code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", config, w.Code, w.Body)
+		}
+	}
+	if sm := s.Engine().Sample(); sm.CheckpointHits == 0 {
+		t.Fatalf("second run restored no checkpoint; the probes were never exercised: %+v", sm)
+	}
+	st := cacheStats(t, s)
+	if st.Hits != 0 || st.DiskHits != 0 || st.PeerHits != 0 || st.Misses != 2 {
+		t.Fatalf("result tiers hits/disk/peer/misses = %d/%d/%d/%d, want 0/0/0/2 (one per cell)",
+			st.Hits, st.DiskHits, st.PeerHits, st.Misses)
 	}
 }
